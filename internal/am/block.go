@@ -3,59 +3,45 @@ package am
 import "tdbms/internal/page"
 
 // Block is a page-at-a-time tuple delivery: one NextBlock call fetches the
-// page under the iterator's cursor once and decodes every qualifying tuple
-// still on it, instead of re-fetching the page per tuple the way Next does.
-// The tuples share one backing allocation per block; like Next's results
-// they are copies, valid after further iteration, so a consumer may hold
-// them as long as it likes.
+// page under the iterator's cursor once and hands out every qualifying
+// tuple still on it, instead of re-fetching the page per tuple the way Next
+// does. Unlike Next's results the tuples are not copies: they alias the
+// page the iterator just fetched, so they are valid only until the
+// iterator's next call (or any other fetch through the same buffer
+// handle). A consumer that keeps a tuple past that point copies it; the
+// batch scan copies only the tuples its qualification accepts.
 type Block struct {
 	RIDs []page.RID
 	Tups [][]byte
-	buf  []byte
 }
 
-// blockChunk is the backing-array granularity: many blocks' tuples pack
-// into one chunk, so the per-block allocation cost is amortized away.
-const blockChunk = 1 << 16
-
-// Reset empties the block. The backing chunk is not dropped — consumers
-// may still hold tuples from previous fills, so Reset re-slices past the
-// occupied prefix and later Adds append into the chunk's unused tail.
+// Reset empties the block.
 func (b *Block) Reset() {
 	b.RIDs = b.RIDs[:0]
 	b.Tups = b.Tups[:0]
-	b.buf = b.buf[len(b.buf):]
 }
 
 // Len is the number of tuples in the block.
 func (b *Block) Len() int { return len(b.Tups) }
 
-// Add appends a copy of tup. Chunks are never grown in place, so earlier
-// tuples keep pointing at their chunk when a new one is allocated.
+// Add appends tup without copying it. Its capacity is clipped to its
+// length, so an append to the tuple can never write into the page.
 func (b *Block) Add(rid page.RID, tup []byte) {
-	if len(b.buf)+len(tup) > cap(b.buf) {
-		n := blockChunk
-		if len(tup) > n {
-			n = len(tup)
-		}
-		b.buf = make([]byte, 0, n)
-	}
-	start := len(b.buf)
-	b.buf = append(b.buf, tup...)
-	b.Tups = append(b.Tups, b.buf[start:len(b.buf):len(b.buf)])
+	b.Tups = append(b.Tups, tup[:len(tup):len(tup)])
 	b.RIDs = append(b.RIDs, rid)
 }
 
 // BlockIterator is optionally implemented by iterators that can deliver
 // tuples page-at-a-time. NextBlock resets blk and fills it with up to max
 // tuples from the page under the cursor, fetching that page exactly once;
-// it returns false only at exhaustion (with an empty block). A call that
-// stops at max mid-page leaves the cursor on that page, and the next call
-// re-fetches it — the same fetch the tuple protocol would issue on resume,
-// so the page-read accounting of a scan is identical under either
-// protocol; only the per-tuple re-fetches within one page (buffer hits)
-// disappear. Next and NextBlock may be interleaved freely: both advance
-// the same cursor.
+// it returns false only at exhaustion (with an empty block). Every call
+// returns after one page, so all of a block's tuples alias that one page.
+// A call that stops at max mid-page leaves the cursor on that page, and
+// the next call re-fetches it — the same fetch the tuple protocol would
+// issue on resume, so the page-read accounting of a scan is identical
+// under either protocol; only the per-tuple re-fetches within one page
+// (buffer hits) disappear. Next and NextBlock may be interleaved freely:
+// both advance the same cursor.
 type BlockIterator interface {
 	Iterator
 	NextBlock(blk *Block, max int) (bool, error)

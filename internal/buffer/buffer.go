@@ -132,12 +132,21 @@ func (a *Account) Reset() {
 }
 
 // Charge adds a delta measured elsewhere (the exclusive-lock DML path
-// brackets the global counters and charges the difference here).
+// brackets the global counters and charges the difference here). Only the
+// counters that moved are touched: a hit costs one atomic add, a miss two.
 func (a *Account) Charge(d Stats) {
-	a.reads.Add(d.Reads)
-	a.writes.Add(d.Writes)
-	a.hits.Add(d.Hits)
-	a.readOps.Add(d.ReadOps)
+	if d.Reads != 0 {
+		a.reads.Add(d.Reads)
+	}
+	if d.Writes != 0 {
+		a.writes.Add(d.Writes)
+	}
+	if d.Hits != 0 {
+		a.hits.Add(d.Hits)
+	}
+	if d.ReadOps != 0 {
+		a.readOps.Add(d.ReadOps)
+	}
 }
 
 // frame is one buffer slot.
@@ -279,8 +288,9 @@ func (p *pool) sync() {
 	p.pending.dirty = false
 }
 
-// charge bumps the pool counters and mirrors the delta to the handle's
-// account. Caller holds p.mu.
+// charge bumps the pool counters (plain adds under p.mu) and mirrors the
+// delta to the handle's account, which makes an atomic add only for the
+// counters that moved. Caller holds p.mu.
 func (b *Buffered) charge(d Stats) {
 	b.p.stats = b.p.stats.Add(d)
 	if b.acct != nil {
@@ -332,13 +342,14 @@ func (b *Buffered) Fetch(id page.ID) (*page.Page, error) {
 		f.used = p.tick
 		b.charge(Stats{Reads: 1, ReadOps: 1})
 	}
-	return b.adopt(f.pg, id), nil
+	return b.adopt(&f.pg, id), nil
 }
 
-// adopt installs a page image as the handle's stable scratch copy and
-// marks it pending. Caller holds p.mu.
-func (b *Buffered) adopt(pg page.Page, id page.ID) *page.Page {
-	b.v.pg = pg
+// adopt copies a page image into the handle's stable scratch and marks
+// it pending. The image is passed by pointer so the page is copied once,
+// not once more into the argument. Caller holds p.mu.
+func (b *Buffered) adopt(pg *page.Page, id page.ID) *page.Page {
+	b.v.pg = *pg
 	b.v.id = id
 	b.v.dirty = false
 	b.p.pending = b.v
@@ -364,7 +375,7 @@ func (b *Buffered) FetchAhead(id page.ID, ahead int) (*page.Page, error) {
 	if f := p.lookup(id); f != nil {
 		b.charge(Stats{Hits: 1})
 		f.used = p.tick
-		return b.adopt(f.pg, id), nil
+		return b.adopt(&f.pg, id), nil
 	}
 	// Size the batch: the requested page plus in-range, non-resident
 	// successors. Stopping at the first resident page keeps every page of
@@ -399,7 +410,7 @@ func (b *Buffered) FetchAhead(id page.ID, ahead int) (*page.Page, error) {
 		p.tick++
 	}
 	b.charge(Stats{Reads: int64(n), ReadOps: 1})
-	return b.adopt(batch[0], id), nil
+	return b.adopt(&batch[0], id), nil
 }
 
 // MarkDirty records that the most recently fetched page was modified; it

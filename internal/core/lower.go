@@ -189,7 +189,7 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 	// Bind resolves the binding at call time, not capture time: after a
 	// detachment the variable's binding is swapped to the temporary's.
 	bind := func(rid page.RID, tup []byte) (bool, error) {
-		q.env.vars[v].tup = tup
+		qv.bind.tup = tup
 		pass, err := q.passesVar(v)
 		if err != nil || !pass {
 			return false, err
@@ -201,7 +201,7 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 		}
 		return true, nil
 	}
-	end := func() { q.env.vars[v].tup = nil }
+	end := func() { qv.bind.tup = nil }
 
 	switch n.Op {
 	case plan.OpTempScan:
@@ -212,7 +212,7 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 		return &exec.Scan{Node: n, Att: l.att, Readahead: l.ra,
 			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
-				q.env.vars[v].tup = tup
+				qv.bind.tup = tup
 				if fn != nil {
 					if err := fn(rid, tup); err != nil {
 						return false, err
@@ -305,7 +305,7 @@ func (l *lowering) lowerSubstProbe(n *plan.Node, sub *plan.Subst) exec.Operator 
 			return qv.h.src.ProbeAll(keyVal.AsInt()), nil
 		},
 		Bind: func(rid page.RID, tup []byte) (bool, error) {
-			q.env.vars[v].tup = tup
+			qv.bind.tup = tup
 			return q.passesVar(v)
 		},
 	}
@@ -337,7 +337,8 @@ func (l *lowering) materialize(n *plan.Node) (*exec.Materialize, error) {
 func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error) {
 	q, db := l.q, l.db
 	v := n.Var
-	d := q.qv[v].h.desc
+	qv := q.qv[v]
+	d := qv.h.desc
 	attrs := q.neededAttrs(v)
 	if len(attrs) == 0 {
 		attrs = []string{strings.ToLower(d.Schema.Attr(0).Name)}
@@ -355,7 +356,7 @@ func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error
 	q.temps = append(q.temps, tmp)
 	out := tmpSchema.NewTuple()
 	write = func() error {
-		tup := q.env.vars[v].tup
+		tup := qv.bind.tup
 		for i, srcIdx := range idx {
 			if err := tmpSchema.SetValue(out, i, d.Schema.Value(tup, srcIdx)); err != nil {
 				return err
@@ -373,10 +374,10 @@ func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error
 		}
 		// After detachment the variable ranges over the temporary;
 		// its single-variable predicates were consumed.
-		q.env.vars[v] = bindingForTemp(d, tmpSchema)
-		q.qv[v].sel = nil
-		q.qv[v].tsel = nil
-		q.qv[v].temp = tmp
+		q.setBinding(v, bindingForTemp(d, tmpSchema))
+		qv.sel = nil
+		qv.tsel = nil
+		qv.temp = tmp
 		n.Pages = tmp.hf.Buffer().NumPages()
 		return nil
 	}

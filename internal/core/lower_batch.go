@@ -38,7 +38,7 @@ func (l *lowering) slotOf(v string) int {
 func (l *lowering) pipelineRebind() func(row [][]byte) {
 	binds := make([]*binding, len(l.q.vars))
 	for i, v := range l.q.vars {
-		binds[i] = l.q.env.vars[v]
+		binds[i] = l.q.qv[v].bind
 	}
 	return func(row [][]byte) {
 		for s, tup := range row {
@@ -87,21 +87,8 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 	v := n.Var
 	qv := q.qv[v]
 	slot := l.slotOf(v)
-	// Bind resolves the binding at call time, not capture time: after a
-	// detachment the variable's binding is swapped to the temporary's, so
-	// the compiled qualification is rebuilt whenever the binding pointer
-	// changes.
-	var cq compiledQual
-	var cqb *binding
-	bind := func(rid page.RID, tup []byte) (bool, error) {
-		b := q.env.vars[v]
-		b.tup = tup
-		if cqb != b {
-			cq, cqb = q.compileVarQual(v), b
-		}
-		return cq(tup)
-	}
-	end := func() { q.env.vars[v].tup = nil }
+	bind := l.batchBind(v)
+	end := func() { qv.bind.tup = nil }
 
 	switch n.Op {
 	case plan.OpTempScan:
@@ -111,7 +98,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 		return &exec.BatchScan{Node: n, Att: l.att, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
-				q.env.vars[v].tup = tup
+				qv.bind.tup = tup
 				return true, nil
 			},
 			End: end,
@@ -186,8 +173,6 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) exec.Batc
 	if sub.Flipped {
 		keyExpr = conj.l
 	}
-	var cq compiledQual
-	var cqb *binding
 	return &exec.BatchScan{Node: n, Att: l.att, Slot: slot,
 		Start: func() (am.Iterator, error) {
 			keyVal, err := q.env.evalExpr(keyExpr)
@@ -202,14 +187,27 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) exec.Batc
 			}
 			return qv.h.src.ProbeAll(keyVal.AsInt()), nil
 		},
-		Bind: func(rid page.RID, tup []byte) (bool, error) {
-			b := q.env.vars[v]
-			b.tup = tup
-			if cqb != b {
-				cq, cqb = q.compileVarQual(v), b
-			}
-			return cq(tup)
-		},
+		Bind: l.batchBind(v),
+	}
+}
+
+// batchBind builds a batch leaf's Bind: it installs the tuple in v's
+// binding and runs v's compiled qualification. The binding is read from
+// the qvar at call time, not captured: a detachment swaps it to the
+// temporary's mid-query, and the qualification is recompiled whenever
+// the binding pointer changes.
+func (l *lowering) batchBind(v string) func(rid page.RID, tup []byte) (bool, error) {
+	q := l.q
+	qv := q.qv[v]
+	var cq compiledQual
+	var cqb *binding
+	return func(rid page.RID, tup []byte) (bool, error) {
+		b := qv.bind
+		b.tup = tup
+		if cqb != b {
+			cq, cqb = q.compileVarQual(v), b
+		}
+		return cq(tup)
 	}
 }
 
@@ -223,7 +221,7 @@ func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*exec.BatchMaterial
 	if err != nil {
 		return nil, err
 	}
-	b := l.q.env.vars[n.Var]
+	b := l.q.qv[n.Var].bind
 	slot := l.slotOf(n.Var)
 	return &exec.BatchMaterialize{
 		Node:   n,

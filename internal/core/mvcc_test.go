@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -113,13 +114,17 @@ func TestLatchOrderingNoDeadlock(t *testing.T) {
 	mustExec(t, db, `append to a (id = 1, v = 0)`)
 	mustExec(t, db, `append to b (id = 1, v = 0)`)
 
+	// Each statement copies the one id-1 tuple of one relation into the
+	// other under a fresh id, so every round writes exactly one tuple.
+	// (Copying under id 1 would copy every earlier copy as well: the
+	// relations would grow like the Fibonacci numbers.)
 	const iters = 50
 	errs := make(chan error, 2)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, dir := range []struct{ name, rng, stmt string }{
-		{"ab", `range of av is a`, `append to b (id = av.id, v = av.v) where av.id = 1`},
-		{"ba", `range of bv is b`, `append to a (id = bv.id, v = bv.v) where bv.id = 1`},
+	for _, dir := range []struct{ rng, stmt string }{
+		{`range of av is a`, `append to b (id = av.id + 1000, v = av.v) where av.id = 1`},
+		{`range of bv is b`, `append to a (id = bv.id + 1000, v = bv.v) where bv.id = 1`},
 	} {
 		wg.Add(1)
 		go func(rng, stmt string) {
@@ -141,11 +146,19 @@ func TestLatchOrderingNoDeadlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("opposite-order latch sets did not finish: likely deadlock")
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("opposite-order latch sets did not finish in 60 s; goroutines:\n%s", buf)
 	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	for _, rel := range []string{"a", "b"} {
+		r := mustExec(t, db, `range of x is `+rel+` retrieve (x.id)`)
+		if len(r.Rows) != 1+iters {
+			t.Fatalf("%s holds %d tuples, want %d", rel, len(r.Rows), 1+iters)
+		}
 	}
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)

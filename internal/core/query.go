@@ -34,6 +34,10 @@ type qvar struct {
 	// temp, when non-nil, is the detached one-variable result this
 	// variable now ranges over (multi-variable plans).
 	temp *tempRel
+	// bind is the variable's binding, the same pointer as env.vars[name]:
+	// per-tuple binders read it here instead of looking it up in the map.
+	// Set at analysis and swapped only by a detachment (setBinding).
+	bind *binding
 }
 
 // query is an analyzed retrieve (also used internally by DML).
@@ -146,7 +150,7 @@ func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
 		}
 		q.qv[v] = &qvar{name: v, h: h}
 		q.vars = append(q.vars, v)
-		q.env.vars[v] = bindingFor(h.desc)
+		q.setBinding(v, bindingFor(h.desc))
 		return nil
 	}
 	walkOrder := func(x tquel.Expr) error {
@@ -394,6 +398,13 @@ func joinEquality(c tquel.Expr) (l, r *tquel.AttrExpr, ok bool) {
 	return nil, nil, false
 }
 
+// setBinding installs b as v's binding in both the environment and the
+// variable's qvar.
+func (q *query) setBinding(v string, b *binding) {
+	q.env.vars[v] = b
+	q.qv[v].bind = b
+}
+
 // txVisible applies the rollback slice to a bound variable.
 func (q *query) txVisible(v string) bool {
 	b := q.env.vars[v]
@@ -510,4 +521,3 @@ func (q *query) neededAttrs(v string) []string {
 	}
 	return out
 }
-

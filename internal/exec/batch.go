@@ -88,8 +88,8 @@ func (b *Batch) AddRow() [][]byte {
 // AddMerged appends a selected row combining an outer and an inner row:
 // the outer slots are copied, then every slot the inner row binds
 // overrides. Slot slices reference the same tuple bytes as the sources,
-// which remain valid after the source batches are reset (access-method
-// iterators hand out copies).
+// which remain valid after the source batches are reset (leaves store
+// only tuples they own: iterator copies or their arena's).
 func (b *Batch) AddMerged(outer, inner [][]byte) {
 	row := b.AddRow()
 	copy(row, outer)
@@ -157,7 +157,9 @@ func closeBatchOp(op BatchOperator, err error) error {
 // BatchScan is the batch twin of Scan: it drains its access-method
 // iterator into the batch, offering each tuple to Bind and storing the
 // qualifiers in the scan's own slot. One attribution bracket covers the
-// whole fill, instead of one per tuple.
+// whole fill, instead of one per tuple. Block tuples alias the fetched
+// page, so Bind sees them in place and only the rows it accepts are
+// copied, into the scan's arena.
 type BatchScan struct {
 	Node      *plan.Node
 	Att       *Attribution
@@ -172,6 +174,25 @@ type BatchScan struct {
 	bit  am.BlockIterator // non-nil when it delivers tuples page-at-a-time
 	blk  am.Block
 	done bool
+	// arena backs the copies of accepted block tuples. Chunks are never
+	// reused or grown in place: consumers may hold rows indefinitely.
+	arena []byte
+}
+
+// arenaChunk caps the arena's chunk size: many batches' rows pack into
+// one chunk, so the per-row allocation cost is amortized away.
+const arenaChunk = 1 << 16
+
+// keep returns a copy of tup in the scan's arena. Chunks double from one
+// tuple up to arenaChunk, so a point probe accepting a row or two does not
+// pay for a full chunk.
+func (s *BatchScan) keep(tup []byte) []byte {
+	if len(s.arena)+len(tup) > cap(s.arena) {
+		s.arena = make([]byte, 0, max(min(2*cap(s.arena), arenaChunk), len(tup)))
+	}
+	start := len(s.arena)
+	s.arena = append(s.arena, tup...)
+	return s.arena[start:len(s.arena):len(s.arena)]
 }
 
 // Open implements BatchOperator.
@@ -221,7 +242,7 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 					return false, err
 				}
 				if pass {
-					b.AddRow()[s.Slot] = tup
+					b.AddRow()[s.Slot] = s.keep(tup)
 					s.Node.ActRows++
 				}
 			}
